@@ -112,6 +112,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzParseAxis -fuzztime $(FUZZTIME) ./internal/sweep
 	$(GO) test -run xxx -fuzz FuzzParseRateSchedule -fuzztime $(FUZZTIME) ./internal/workload
 	$(GO) test -run xxx -fuzz FuzzBatchFrame -fuzztime $(FUZZTIME) ./internal/httpapi
+	$(GO) test -run xxx -fuzz FuzzStreamFrame -fuzztime $(FUZZTIME) ./internal/httpapi
 
 fuzz-smoke:
 	$(MAKE) fuzz FUZZTIME=10s

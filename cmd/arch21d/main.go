@@ -10,12 +10,13 @@
 //
 // With -peers, arch21d runs as a consistent-hash routing front-end
 // instead: requests (and every sweep grid point) route to the replica
-// owning their cache key — class and remaining deadline budget propagate
-// in the X-Arch21-Class / X-Arch21-Deadline-MS headers — with
-// health-checked ejection and bounded failover. With -snapshot, the
-// engine persists its cache to disk (tier 2) and warm-starts from it on
-// boot. With -lc-slo, a feedback controller retunes the batch throttle
-// every second to hold the live interactive p99 at the SLO.
+// owning their cache key over one persistent multiplexed frame stream
+// per replica (GET /v1/stream, upgraded) — class and remaining deadline
+// budget ride each frame's QoS envelope — with health-checked ejection
+// and bounded failover. With -snapshot, the engine persists its cache to
+// disk (tier 2) and warm-starts from it on boot. With -lc-slo, a
+// feedback controller retunes the batch throttle every second to hold
+// the live interactive p99 at the SLO.
 //
 // Usage:
 //
@@ -31,6 +32,8 @@
 //	GET  /run/{id}             serve one experiment (add ?format=text|csv)
 //	GET  /run/{id}?param=n=v   override declared parameters (repeatable)
 //	POST /sweep                parameter-grid sweep, streamed as NDJSON
+//	GET  /v1/stream            (replica) upgrade to the routing front-end's
+//	                           persistent multiplexed frame stream
 //	GET  /stats                request counters, cache stats, per-class
 //	                           p50/p99, scheduler + shed counters
 //	                           (router mode: routing counters + backend health)
@@ -110,6 +113,10 @@ func main() {
 
 	mux := http.NewServeMux()
 	var onShutdown func()
+	// drainStreams drains the engine's frame streams on shutdown:
+	// http.Server.Shutdown does not track the hijacked connections the
+	// routing front-end's streams ride.
+	var drainStreams func(context.Context) error
 
 	if *peers != "" {
 		// A routing front-end has no local engine: accepting and silently
@@ -171,6 +178,7 @@ func main() {
 		}
 		mux.Handle("/", engine.Handler())
 		httpapi.Mount(mux, "POST /sweep", sweep.Handler(engine))
+		drainStreams = engine.ShutdownStreams
 		if *lcSLO > 0 {
 			// The §2.4 feedback loop, live: every second, read the
 			// interactive class's p99 over the *last window* (the
@@ -226,7 +234,9 @@ func main() {
 		WriteTimeout: 5 * time.Minute, // cold "run all"-class requests and sweeps are slow
 	}
 	// On SIGINT/SIGTERM, drain in-flight requests first (long sweeps get
-	// up to the write timeout to finish streaming), then take the final
+	// up to the write timeout to finish streaming) — HTTP exchanges and
+	// the front-end's frame streams side by side, each stream finishing
+	// its frames in flight before it closes — then take the final
 	// snapshot — saving after the drain, not during it, so results
 	// memoized by the last requests make it into the file the next boot
 	// warm-starts from.
@@ -246,9 +256,19 @@ func main() {
 		}()
 		ctx, cancel := context.WithTimeout(context.Background(), srv.WriteTimeout)
 		defer cancel()
+		streamsDrained := make(chan struct{})
+		go func() {
+			defer close(streamsDrained)
+			if drainStreams != nil {
+				if err := drainStreams(ctx); err != nil {
+					log.Printf("arch21d: %v", err)
+				}
+			}
+		}()
 		if err := srv.Shutdown(ctx); err != nil {
 			log.Printf("arch21d: shutdown: %v", err)
 		}
+		<-streamsDrained
 		if onShutdown != nil {
 			onShutdown()
 		}

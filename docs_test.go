@@ -7,6 +7,7 @@ package repro
 // step.
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -514,12 +515,16 @@ func TestSlabCacheDocs(t *testing.T) {
 
 // The batched-data-plane docs cannot drift: DESIGN.md §4 must document
 // the batch frame format with the exact magics, version, and bounds the
-// codec exports, plus the fuzz target; §7 must document the coalescing
-// queue with the exact flush-reason vocabulary the router exports (both
-// directions — every exported reason must be documented, and the
-// documented metric families are already pinned both ways against the
-// live registries by TestObservabilityDocsCoverObs); README's replica
-// walkthrough must carry the cluster-throughput section.
+// codec exports, plus the fuzz target, and the frame stream with its
+// exact upgrade token, path, caps, and frame-type table (both
+// directions — every exported frame type has a row with its type byte,
+// and every row names an exported type); §7 must document the
+// coalescing queue with the exact flush-reason vocabulary the router
+// exports (both directions — every exported reason must be documented,
+// and the documented metric families are already pinned both ways
+// against the live registries by TestObservabilityDocsCoverObs) and the
+// hop transport; README's replica walkthrough must carry the
+// cluster-throughput section and the stream.
 func TestBatchedDataPlaneDocs(t *testing.T) {
 	design, err := os.ReadFile("DESIGN.md")
 	if err != nil {
@@ -539,9 +544,34 @@ func TestBatchedDataPlaneDocs(t *testing.T) {
 		"httpapi.BatchVersion", "outcome word",
 		"httpapi.MaxBatchEntries", "httpapi.MaxBatchBytes",
 		"ErrBatchFrame", "httpapi.GetBuffer", "FuzzBatchFrame",
+		"`" + httpapi.StreamUpgrade + "`", "`GET " + httpapi.StreamPath + "`",
+		"httpapi.MaxStreamInFlight", "httpapi.MaxStreamFrame", "ErrStreamFrame",
+		"FuzzStreamFrame", "Engine.ShutdownStreams", "arch21_stream_frames_total",
 	} {
 		if !strings.Contains(sec4, want) {
 			t.Errorf("DESIGN.md §4 no longer documents %q", want)
+		}
+	}
+	// The frame-type table, both directions: a row per exported type,
+	// and no row for a type the codec does not have.
+	types := map[string]string{}
+	for _, ft := range httpapi.FrameTypes() {
+		row := fmt.Sprintf("| `0x%02x` | `%s` |", byte(ft), ft)
+		types[row] = ft.String()
+		if !strings.Contains(doc[s4:s5], row) {
+			t.Errorf("DESIGN.md §4 frame table has no row %q", row)
+		}
+	}
+	for _, line := range strings.Split(doc[s4:s5], "\n") {
+		if !strings.HasPrefix(line, "| `0x") {
+			continue
+		}
+		known := false
+		for row := range types {
+			known = known || strings.HasPrefix(line, row)
+		}
+		if !known {
+			t.Errorf("DESIGN.md §4 frame table documents a type the codec lacks: %s", line)
 		}
 	}
 
@@ -560,6 +590,7 @@ func TestBatchedDataPlaneDocs(t *testing.T) {
 		"arch21_batch_flushes_total", "router.FlushReasonNames()",
 		"arch21_batched_requests_total", "arch21_batch_size",
 		"sweep.BatchServer", "exactly-once",
+		"The hop transport", "call ID", "cancel frame", "never resends",
 	} {
 		if !strings.Contains(sec7, want) {
 			t.Errorf("DESIGN.md §7 no longer documents %q", want)
@@ -587,6 +618,7 @@ func TestBatchedDataPlaneDocs(t *testing.T) {
 		"outcome word", "coalesce",
 		"arch21_batched_requests_total", "arch21_batch_flushes_total",
 		"arch21_batch_size", "cluster-scatter",
+		httpapi.StreamPath, httpapi.StreamUpgrade, "arch21_stream_frames_total",
 	} {
 		if !strings.Contains(sec, want) {
 			t.Errorf("README cluster-throughput walkthrough no longer documents %q", want)

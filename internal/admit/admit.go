@@ -118,9 +118,10 @@ const (
 	// TokenBucket policies.
 	StrictPriority Policy = iota
 	// SharedFIFO runs everything through one queue in arrival order with
-	// no throttle and no shedding — the no-QoS baseline (the old
-	// serve.Pool behavior), kept selectable so tests can demonstrate the
-	// priority inversion the scheduler removes.
+	// no throttle and no shedding — the no-QoS baseline (what the
+	// engine's single worker pool did before this scheduler), kept
+	// selectable so tests can demonstrate the priority inversion the
+	// scheduler removes.
 	SharedFIFO
 )
 
@@ -226,7 +227,8 @@ type item struct {
 // Scheduler is the class-based admission scheduler. All state is guarded
 // by one mutex + condvar; no path holds the mutex across a blocking
 // channel send or task execution, so a full queue can never stall
-// unrelated submitters (the head-of-line bug the old serve.Pool had).
+// unrelated submitters (the head-of-line bug a channel-fed worker pool
+// has when submitters block on a full channel).
 type Scheduler struct {
 	cfg  Config
 	mu   sync.Mutex

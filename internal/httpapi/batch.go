@@ -164,12 +164,22 @@ func AppendBatchResponse(dst []byte, results []BatchResult) []byte {
 type frameReader struct {
 	buf []byte
 	off int
+	// bad is the sentinel decode errors wrap (ErrBatchFrame when nil).
+	bad error
+}
+
+func (fr *frameReader) errf(format string, args ...any) error {
+	bad := fr.bad
+	if bad == nil {
+		bad = ErrBatchFrame
+	}
+	return fmt.Errorf("%w: "+format, append([]any{bad}, args...)...)
 }
 
 func (fr *frameReader) uvarint() (uint64, error) {
 	v, n := binary.Uvarint(fr.buf[fr.off:])
 	if n <= 0 {
-		return 0, fmt.Errorf("%w: bad varint at offset %d", ErrBatchFrame, fr.off)
+		return 0, fr.errf("bad varint at offset %d", fr.off)
 	}
 	fr.off += n
 	return v, nil
@@ -183,7 +193,7 @@ func (fr *frameReader) chunk() ([]byte, error) {
 		return nil, err
 	}
 	if n > uint64(len(fr.buf)-fr.off) {
-		return nil, fmt.Errorf("%w: truncated chunk at offset %d", ErrBatchFrame, fr.off)
+		return nil, fr.errf("truncated chunk at offset %d", fr.off)
 	}
 	c := fr.buf[fr.off : fr.off+int(n)]
 	fr.off += int(n)
@@ -192,7 +202,7 @@ func (fr *frameReader) chunk() ([]byte, error) {
 
 func (fr *frameReader) byte() (byte, error) {
 	if fr.off >= len(fr.buf) {
-		return 0, fmt.Errorf("%w: truncated at offset %d", ErrBatchFrame, fr.off)
+		return 0, fr.errf("truncated at offset %d", fr.off)
 	}
 	b := fr.buf[fr.off]
 	fr.off++

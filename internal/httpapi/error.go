@@ -4,9 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"math"
 	"net/http"
-	"strconv"
 	"time"
 
 	"repro/internal/admit"
@@ -54,11 +52,7 @@ func WriteError(w http.ResponseWriter, status int, code, msg string) {
 // (whole seconds, minimum 1 — the HTTP-level contract) with the exact
 // hint preserved at millisecond precision in the body.
 func WriteErrorRetry(w http.ResponseWriter, status int, code, msg string, retryAfter time.Duration) {
-	secs := int(math.Ceil(retryAfter.Seconds()))
-	if secs < 1 {
-		secs = 1
-	}
-	w.Header().Set("Retry-After", strconv.Itoa(secs))
+	w.Header().Set("Retry-After", RetryAfterHeader(retryAfter))
 	ms := retryAfter.Milliseconds()
 	if ms < 1 {
 		ms = 1

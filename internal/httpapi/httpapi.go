@@ -30,9 +30,9 @@ const HeaderHedge = "X-Arch21-Hedge"
 // Binary result transport (?format=bin): the response body is the raw
 // core.Result codec payload exactly as memoized — served zero-copy from
 // the tier-1 slab — and the envelope fields JSON would carry ride in
-// these response headers instead. The routing front-end's backend client
-// uses this so a proxied warm hit is one slab read plus one body copy,
-// never a decode/re-encode round trip.
+// these response headers instead, so an external client's warm hit is
+// one slab read plus one body copy, never a decode/re-encode round trip.
+// (The routing front-end gets the same bytes from stream reply frames.)
 const (
 	// HeaderKey echoes the cache key the result is memoized under.
 	HeaderKey = "X-Arch21-Key"
@@ -109,12 +109,11 @@ func Forward(req *http.Request, ctx context.Context, hopBudget time.Duration) er
 	if IsHedge(ctx) {
 		req.Header.Set(HeaderHedge, "1")
 	}
-	if dl, ok := ctx.Deadline(); ok {
-		remaining := time.Until(dl) - hopBudget
-		if remaining <= 0 {
-			return &admit.ShedError{
-				Class: admit.ClassFrom(ctx), Deadline: true, RetryAfter: hopBudget}
-		}
+	remaining, ok, err := hopRemaining(ctx, hopBudget)
+	if err != nil {
+		return err
+	}
+	if ok {
 		req.Header.Set(admit.HeaderDeadlineMS,
 			strconv.FormatFloat(math.Ceil(remaining.Seconds()*1e3), 'f', -1, 64))
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -108,6 +109,36 @@ func TestEventsNilSafe(t *testing.T) {
 		t.Fatal("nil Events should report empty")
 	}
 	e.SetSink(&bytes.Buffer{})
+}
+
+// Concurrent recorders share one sink: every event lands as its own
+// intact line (run under -race, an unserialized sink write is a data
+// race on the writer).
+func TestEventsSinkConcurrentRecorders(t *testing.T) {
+	e := NewEvents(4)
+	var sink bytes.Buffer
+	e.SetSink(&sink)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				e.Record(EventShed, map[string]string{"class": "batch"}, nil)
+			}
+		}()
+	}
+	wg.Wait()
+	lines := strings.Split(strings.TrimSpace(sink.String()), "\n")
+	if len(lines) != 400 {
+		t.Fatalf("sink holds %d lines, want 400", len(lines))
+	}
+	for _, line := range lines {
+		var ev Event
+		if err := json.Unmarshal([]byte(line), &ev); err != nil || ev.Type != EventShed {
+			t.Fatalf("torn sink line %q: %v", line, err)
+		}
+	}
 }
 
 func TestEventsHandlerAndSink(t *testing.T) {

@@ -4,21 +4,21 @@ package router
 // replica engine's handler and the routing front-end — answers with the
 // shared httpapi envelope, on the legacy paths and their /v1 aliases
 // alike; upstream sheds pass through with Retry-After intact; and
-// HTTPBackend's keep-alive pool actually reuses connections, including
-// across error responses.
+// HTTPBackend's frame stream serves success, error and canceled calls on
+// one connection.
 
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"net/http/httptrace"
 	"strings"
-	"sync"
 	"testing"
+	"time"
 
-	"repro/internal/admit"
+	"repro/internal/core"
 	"repro/internal/httpapi"
 	"repro/internal/serve"
 )
@@ -149,15 +149,9 @@ func TestRouterPassesThroughUpstreamShedEnvelope(t *testing.T) {
 	// A replica sheds with 503 + Retry-After; the front-end must re-emit
 	// the same status, the envelope, and the backoff header instead of
 	// swallowing them.
-	replica := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/healthz" {
-			w.WriteHeader(http.StatusOK)
-			return
-		}
-		httpapi.WriteErrorRetry(w, http.StatusServiceUnavailable, httpapi.CodeQueueFull,
-			"queue full", 2e9)
-	}))
-	t.Cleanup(replica.Close)
+	replica := newStreamStub(t, func(httpapi.StreamEnvelope, []httpapi.BatchEntry) ([]httpapi.BatchResult, *httpapi.StreamError) {
+		return nil, &httpapi.StreamError{Status: http.StatusServiceUnavailable, RetryAfter: 2 * time.Second, Msg: "queue full"}
+	})
 	rt, err := New([]Backend{NewHTTPBackend(replica.URL)}, Config{Retries: 1})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -176,53 +170,58 @@ func TestRouterPassesThroughUpstreamShedEnvelope(t *testing.T) {
 }
 
 func TestHTTPBackendReusesConnections(t *testing.T) {
-	// Sequential requests — including one answered with an error status
-	// whose body the backend must drain — have to ride one keep-alive
-	// connection. Without draining, the transport tears the connection
-	// down after every error and the pool silently degrades to a dial
-	// per request.
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if strings.HasPrefix(r.URL.Path, "/run/ERR") {
-			httpapi.WriteError(w, http.StatusServiceUnavailable, httpapi.CodeQueueFull,
-				strings.Repeat("shed ", 200)) // larger than the 512B error sample
-			return
+	// Success, error and canceled calls all ride one stream: an error
+	// answer is a frame like any other, and a canceled call sends a
+	// cancel frame — which cancels the replica-side run — instead of
+	// tearing the connection down the way an abandoned HTTP exchange
+	// did.
+	runCanceled := make(chan error, 1)
+	eng := runnerEngine(t, func(ctx context.Context, id string, _ core.Params) (core.Result, error) {
+		switch id {
+		case "ERR":
+			return core.Result{}, errors.New(strings.Repeat("boom ", 200))
+		case "HANG":
+			<-ctx.Done()
+			runCanceled <- ctx.Err()
+			return core.Result{}, ctx.Err()
 		}
-		w.Header().Set(admit.HeaderClass, "interactive")
-		_, _ = w.Write(fakeResult(strings.TrimPrefix(r.URL.Path, "/run/")).Encode())
-	}))
-	t.Cleanup(srv.Close)
-	b := NewHTTPBackend(srv.URL)
+		return fakeResult(id), nil
+	})
+	rep := newWireReplica(t, eng.Handler(), 0)
+	b := NewHTTPBackend(rep.URL)
 
-	var mu sync.Mutex
-	var reused []bool
-	trace := &httptrace.ClientTrace{GotConn: func(info httptrace.GotConnInfo) {
-		mu.Lock()
-		reused = append(reused, info.Reused)
-		mu.Unlock()
-	}}
-	ctx := httptrace.WithClientTrace(context.Background(), trace)
-
-	if _, err := b.Do(ctx, "E1", nil); err != nil {
+	if _, err := b.Do(context.Background(), "E1", nil); err != nil {
 		t.Fatalf("first request: %v", err)
 	}
-	if _, err := b.Do(ctx, "ERR", nil); err == nil {
+	if _, err := b.Do(context.Background(), "ERR", nil); err == nil {
 		t.Fatal("error request should fail")
+	} else if !isHTTPStatus(err, http.StatusInternalServerError) {
+		t.Fatalf("error request = %v, want the replica's 500", err)
 	}
-	if _, err := b.Do(ctx, "E1", nil); err != nil {
-		t.Fatalf("post-error request: %v", err)
+	// No deadline rides the frame, so only the cancel frame can end the
+	// replica-side run.
+	ctx, cancel := context.WithCancel(context.Background())
+	time.AfterFunc(20*time.Millisecond, cancel)
+	_, err := b.Do(ctx, "HANG", nil)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("abandoned request = %v, want the caller's cancellation", err)
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(reused) != 3 {
-		t.Fatalf("saw %d connections, want 3", len(reused))
+	select {
+	case err := <-runCanceled:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("replica-side run ended with %v, want canceled", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("the abandoned call's run was never canceled on the replica")
 	}
-	if reused[0] {
-		t.Fatal("first request cannot reuse")
+	resp, err := b.Do(context.Background(), "E1", nil)
+	if err != nil {
+		t.Fatalf("post-cancel request: %v", err)
 	}
-	if !reused[1] {
-		t.Fatal("second request dialed fresh: the success body was not drained")
+	if !resp.CacheHit {
+		t.Fatal("post-cancel request missed the cache it filled")
 	}
-	if !reused[2] {
-		t.Fatal("request after the 503 dialed fresh: the error body was not drained")
+	if n := rep.upgrades(); n != 1 {
+		t.Fatalf("replica accepted %d streams over success, error and cancel, want 1", n)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
 	"strings"
 	"time"
 
@@ -117,11 +116,14 @@ func isHTTPStatus(err error, status int) bool {
 	return errors.As(err, &se) && se.status == status
 }
 
-// HTTPBackend is a remote arch21d replica reached over its HTTP API
-// (GET /run/{id} to serve, GET /healthz to probe).
+// HTTPBackend is a remote arch21d replica. Do and DoBatch travel as
+// frames over one persistent multiplexed stream (stream.go, upgraded
+// from GET /v1/stream); Check probes GET /healthz and Control posts
+// /control over plain HTTP.
 type HTTPBackend struct {
 	base   string
 	client *http.Client
+	st     *streamClient
 }
 
 // NewHTTPBackend points at an arch21d base address ("localhost:8021",
@@ -136,23 +138,10 @@ func NewHTTPBackend(addr string) *HTTPBackend {
 	}
 	return &HTTPBackend{
 		base: base,
-		client: &http.Client{
-			// Strictly above the router's per-attempt timeout: the router
-			// must be the layer that abandons a slow attempt (it knows how
-			// to fail over and eject); this deadline only reclaims the
-			// abandoned goroutine's connection eventually.
-			Timeout: DefaultTimeout + time.Minute,
-			Transport: &http.Transport{
-				// One backend == one host, so the per-host cap is the real
-				// limit; size both to the router's worst-case fan-out (a
-				// hedge per in-flight request) so bursts never fall back to
-				// per-request dials. Reuse only works if every response body
-				// is drained — see httpapi.DrainClose.
-				MaxIdleConns:        256,
-				MaxIdleConnsPerHost: 256,
-				IdleConnTimeout:     90 * time.Second,
-			},
-		},
+		// Strictly above the router's per-attempt timeout: the router
+		// must be the layer that abandons a slow control call.
+		client: &http.Client{Timeout: DefaultTimeout + time.Minute},
+		st:     newStreamClient(base),
 	}
 }
 
@@ -164,130 +153,85 @@ func NewHTTPBackend(addr string) *HTTPBackend {
 // one.
 const hopBudget = 5 * time.Millisecond
 
-// Do implements Backend: GET /run/{id}?format=bin&param=... against the
-// replica. The binary transport carries the memoized codec bytes as the
-// body — served zero-copy from the replica's slab, decoded once here —
-// so a proxied result is the replica's full Result (tables and figures
-// included), not the headline slice the old JSON envelope kept. The
-// context's QoS envelope travels as headers via httpapi.Forward: class,
-// tenant, hedge marker, and the remaining deadline decremented by
-// hopBudget — so the whole chain fits the caller's original budget
-// instead of each hop granting itself a fresh one.
+// Do implements Backend as a stream frame of one. The context's QoS
+// envelope rides in the frame — class, tenant, hedge marker, and the
+// remaining deadline decremented by hopBudget, shed here when it cannot
+// survive the hop — and the replica answers a frame of one like /run:
+// the memoized codec bytes (served zero-copy from its slab, decoded once
+// here at the edge, so a proxied result is the replica's full Result),
+// or an error record carrying the status and Retry-After hint.
 func (b *HTTPBackend) Do(ctx context.Context, id string, p core.Params) (serve.Response, error) {
 	t0 := time.Now()
-	// The URL is assembled into a pooled buffer: url.Values + Encode
-	// costs a map plus several slices per request, and this is the
-	// routed hot loop.
-	ub := httpapi.GetBuffer()
-	ubuf := append((*ub)[:0], b.base...)
-	ubuf = append(ubuf, "/run/"...)
-	ubuf = append(ubuf, url.PathEscape(id)...)
-	ubuf = append(ubuf, "?format=bin"...)
-	for _, a := range p.Assignments() {
-		ubuf = append(ubuf, "&param="...)
-		ubuf = append(ubuf, url.QueryEscape(a)...)
-	}
-	u := string(ubuf)
-	*ub = ubuf
-	httpapi.PutBuffer(ub)
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
+	class := admit.ClassFrom(ctx)
+	one := [1]httpapi.BatchEntry{{ID: id, Class: class, Params: p.Assignments()}}
+	raw, err := b.st.call(ctx, one[:])
 	if err != nil {
-		return serve.Response{}, fmt.Errorf("router: %s: %v", b.base, err)
-	}
-	if err := httpapi.Forward(req, ctx, hopBudget); err != nil {
-		// The budget cannot survive the hop: a deadline shed, decided at
-		// the front-end instead of burning the wire.
 		return serve.Response{}, err
 	}
-	resp, err := b.client.Do(req)
-	if err != nil {
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return serve.Response{}, ctxErr
-		}
-		return serve.Response{}, fmt.Errorf("router: %s: %w", b.base, err)
+	results, err := httpapi.DecodeBatchResponse(raw)
+	if err != nil || len(results) != 1 {
+		return serve.Response{}, fmt.Errorf("router: %s: bad reply to /run/%s (%d outcomes): %v",
+			b.base, id, len(results), err)
 	}
-	defer httpapi.DrainClose(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
+	r := results[0]
+	if !r.OK {
 		return serve.Response{}, fmt.Errorf("router: %s /run/%s: %w", b.base, id,
-			&statusError{status: resp.StatusCode, msg: strings.TrimSpace(string(body)),
-				retryAfter: resp.Header.Get("Retry-After")})
+			&statusError{status: r.Status, msg: r.Msg})
 	}
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return serve.Response{}, fmt.Errorf("router: %s: reading body: %v", b.base, err)
-	}
-	res, err := core.DecodeResult(raw)
+	res, err := core.DecodeResult(r.Payload)
 	if err != nil {
 		return serve.Response{}, fmt.Errorf("router: %s: bad result payload: %v", b.base, err)
 	}
-	params, err := core.ParseParams(resp.Header.Values(httpapi.HeaderParam))
-	if err != nil {
-		return serve.Response{}, fmt.Errorf("router: %s: bad param header: %v", b.base, err)
-	}
-	class, _ := admit.ParseClass(resp.Header.Get(admit.HeaderClass)) // absent/unknown defaults to interactive
 	return serve.Response{
 		ID:       id,
-		Params:   params,
-		Key:      resp.Header.Get(httpapi.HeaderKey),
+		Params:   resolvedParams(id, p),
+		Key:      r.Key,
 		Class:    class,
-		CacheHit: resp.Header.Get(httpapi.HeaderCacheHit) == "1",
-		Shared:   resp.Header.Get(httpapi.HeaderShared) == "1",
+		CacheHit: r.CacheHit,
+		Shared:   r.Shared,
 		Result:   res,
 		Latency:  time.Since(t0),
 	}, nil
 }
 
-// DoBatch implements BatchBackend over the wire: POST /v1/batch with
-// the varint request frame (encoded into a pooled buffer) and decode
-// the per-entry outcome frame. The response body is read into a fresh
-// buffer — never pooled — because every OK entry's payload aliases it
-// for the rest of the outcomes' lifetime. Entry-level errors surface as
-// statusError values so the router's verdict taxonomy (client error vs
-// shed vs replica failure) applies per entry exactly as it would to a
-// single routed request.
+// resolvedParams is the assignment the replica served p under — what an
+// in-process engine reports in Response.Params: nil for defaults, the
+// schema-resolved assignment otherwise (p itself when the registry
+// compiled into this binary cannot resolve it).
+func resolvedParams(id string, p core.Params) core.Params {
+	if len(p) == 0 {
+		return nil
+	}
+	if exp, ok := core.ByID(id); ok {
+		if resolved, err := exp.ResolveParams(p); err == nil {
+			return resolved
+		}
+	}
+	return p
+}
+
+// DoBatch implements BatchBackend as one stream frame carrying every
+// item, decoding the per-entry outcomes. The reply buffer is the
+// stream's fresh per-frame buffer — never pooled — because every OK
+// entry's payload aliases it for the rest of the outcomes' lifetime.
+// Entry-level errors surface as statusError values so the router's
+// verdict taxonomy (client error vs shed vs replica failure) applies per
+// entry exactly as it would to a single routed request; a frame of one
+// answered by an error record is that entry's outcome, not a failed
+// exchange.
 func (b *HTTPBackend) DoBatch(ctx context.Context, items []serve.BatchItem) ([]serve.BatchOutcome, error) {
 	t0 := time.Now()
 	entries := make([]httpapi.BatchEntry, len(items))
 	for i, it := range items {
 		entries[i] = httpapi.BatchEntry{ID: it.ID, Class: it.Class, Params: it.Params.Assignments()}
 	}
-	fb := httpapi.GetBuffer()
-	frame := httpapi.AppendBatchRequest((*fb)[:0], entries)
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, b.base+"/v1/batch",
-		bytes.NewReader(frame))
+	raw, err := b.st.call(ctx, entries)
 	if err != nil {
-		*fb = frame
-		httpapi.PutBuffer(fb)
-		return nil, fmt.Errorf("router: %s: %v", b.base, err)
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	if err := httpapi.Forward(req, ctx, hopBudget); err != nil {
-		*fb = frame
-		httpapi.PutBuffer(fb)
-		return nil, err
-	}
-	resp, err := b.client.Do(req)
-	// Do returns only after the request body has been fully consumed (or
-	// abandoned), so the frame buffer is safe to recycle here.
-	*fb = frame
-	httpapi.PutBuffer(fb)
-	if err != nil {
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return nil, ctxErr
+		var se *statusError
+		if len(items) == 1 && errors.As(err, &se) {
+			return []serve.BatchOutcome{{Err: err}}, nil
 		}
-		return nil, fmt.Errorf("router: %s: %w", b.base, err)
-	}
-	defer httpapi.DrainClose(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return nil, fmt.Errorf("router: %s /batch: %w", b.base,
-			&statusError{status: resp.StatusCode, msg: strings.TrimSpace(string(body)),
-				retryAfter: resp.Header.Get("Retry-After")})
-	}
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, fmt.Errorf("router: %s: reading batch body: %v", b.base, err)
+		return nil, err
 	}
 	results, err := httpapi.DecodeBatchResponse(raw)
 	if err != nil {
@@ -347,7 +291,7 @@ func (b *HTTPBackend) Check() error {
 	if err != nil {
 		return err
 	}
-	cl := &http.Client{Timeout: 2 * time.Second, Transport: b.client.Transport}
+	cl := &http.Client{Timeout: 2 * time.Second}
 	resp, err := cl.Do(req)
 	if err != nil {
 		return err

@@ -134,8 +134,8 @@ func TestInteractiveCoalescingNeedsWarmTrustedOwner(t *testing.T) {
 	}
 }
 
-// HTTPBackend.DoBatch against a live replica: one POST /v1/batch
-// exchange serves every entry, per-entry errors come back as
+// HTTPBackend.DoBatch against a live replica: one stream frame serves
+// every entry, per-entry errors come back as
 // statusError values the router taxonomy classifies like single
 // requests, and payloads decode.
 func TestHTTPBackendDoBatch(t *testing.T) {

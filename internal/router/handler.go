@@ -106,51 +106,7 @@ func (r *Router) Handler() http.Handler {
 	// exchange per owner; per-entry failures ride inside the response
 	// frame with the same status taxonomy the single-request route uses.
 	httpapi.MountFunc(mux, "POST /batch", func(w http.ResponseWriter, req *http.Request) {
-		body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, httpapi.MaxBatchBytes))
-		if err != nil {
-			httpapi.WriteError(w, http.StatusRequestEntityTooLarge, httpapi.CodePayloadTooLarge,
-				"batch body exceeds the cap or could not be read")
-			return
-		}
-		entries, err := httpapi.DecodeBatchRequest(body)
-		if err != nil {
-			httpapi.WriteError(w, http.StatusBadRequest, httpapi.CodeBadRequest, err.Error())
-			return
-		}
-		ctx, cancel, err := httpapi.RequestContext(req)
-		if err != nil {
-			httpapi.WriteError(w, http.StatusBadRequest, httpapi.CodeBadRequest, err.Error())
-			return
-		}
-		defer cancel()
-		results := make([]httpapi.BatchResult, len(entries))
-		items := make([]serve.BatchItem, 0, len(entries))
-		served := make([]int, 0, len(entries))
-		for i, en := range entries {
-			p, perr := core.ParseParams(en.Params)
-			if perr != nil {
-				results[i] = httpapi.BatchResult{Status: http.StatusBadRequest, Msg: perr.Error()}
-				continue
-			}
-			items = append(items, serve.BatchItem{ID: en.ID, Params: p, Class: en.Class})
-			served = append(served, i)
-		}
-		for j, o := range r.ServeEncodedBatch(ctx, items) {
-			i := served[j]
-			if o.Err != nil {
-				results[i] = httpapi.BatchResult{Status: routedErrStatus(o.Err), Msg: o.Err.Error()}
-				continue
-			}
-			rr := o.RawResponse
-			results[i] = httpapi.BatchResult{OK: true, CacheHit: rr.CacheHit, Shared: rr.Shared,
-				Key: rr.Key, Payload: rr.Raw}
-		}
-		buf := httpapi.GetBuffer()
-		frame := httpapi.AppendBatchResponse((*buf)[:0], results)
-		w.Header().Set("Content-Type", "application/octet-stream")
-		_, _ = w.Write(frame)
-		*buf = frame
-		httpapi.PutBuffer(buf)
+		serve.WriteFrame(w, req, r.ServeEncodedBatch, routedErrStatus)
 	})
 	httpapi.MountFunc(mux, "GET /stats", func(w http.ResponseWriter, req *http.Request) {
 		httpapi.WriteJSON(w, http.StatusOK, r.Metrics())

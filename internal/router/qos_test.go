@@ -10,7 +10,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -22,23 +21,19 @@ import (
 	"repro/internal/serve"
 )
 
-// TestHTTPBackendPropagatesClassAndDeadline pins the header contract: an
-// HTTPBackend forwards the context's class verbatim and its remaining
-// deadline decremented by the hop budget, so a replica works against the
-// caller's residual budget, not a fresh one.
+// TestHTTPBackendPropagatesClassAndDeadline pins the envelope contract:
+// an HTTPBackend's request frame carries the context's class verbatim
+// and its remaining deadline decremented by the hop budget, so a replica
+// works against the caller's residual budget, not a fresh one.
 func TestHTTPBackendPropagatesClassAndDeadline(t *testing.T) {
-	var gotClass atomic.Value
-	var gotDeadlineMS atomic.Value
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		gotClass.Store(r.Header.Get(admit.HeaderClass))
-		gotDeadlineMS.Store(r.Header.Get(admit.HeaderDeadlineMS))
-		w.Header().Set(admit.HeaderClass, "batch")
-		w.Header().Set(httpapi.HeaderCacheHit, "1")
-		_, _ = w.Write(fakeResult(r.PathValue("id")).Encode())
-	}))
-	defer srv.Close()
+	var got atomic.Value // httpapi.StreamEnvelope
+	stub := newStreamStub(t, func(env httpapi.StreamEnvelope, entries []httpapi.BatchEntry) ([]httpapi.BatchResult, *httpapi.StreamError) {
+		got.Store(env)
+		return []httpapi.BatchResult{{OK: true, CacheHit: true, Key: entries[0].ID,
+			Payload: fakeResult(entries[0].ID).Encode()}}, nil
+	})
 
-	b := NewHTTPBackend(srv.URL)
+	b := NewHTTPBackend(stub.URL)
 	budget := 500 * time.Millisecond
 	ctx, cancel := context.WithTimeout(
 		admit.WithClass(context.Background(), admit.Batch), budget)
@@ -47,28 +42,25 @@ func TestHTTPBackendPropagatesClassAndDeadline(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Do: %v", err)
 	}
-	if resp.Class != admit.Batch {
-		t.Fatalf("response class = %v, want batch", resp.Class)
+	if resp.Class != admit.Batch || !resp.CacheHit {
+		t.Fatalf("response class=%v hit=%v, want batch hit", resp.Class, resp.CacheHit)
 	}
-	if got := gotClass.Load(); got != "batch" {
-		t.Fatalf("forwarded class header = %q, want batch", got)
+	env, _ := got.Load().(httpapi.StreamEnvelope)
+	if env.Class != admit.Batch {
+		t.Fatalf("forwarded class = %v, want batch", env.Class)
 	}
-	h, _ := gotDeadlineMS.Load().(string)
-	if h == "" {
-		t.Fatal("no deadline header forwarded")
-	}
-	ms, err := strconv.ParseFloat(h, 64)
-	if err != nil {
-		t.Fatalf("forwarded deadline %q unparseable: %v", h, err)
+	if env.Deadline == 0 {
+		t.Fatal("no deadline forwarded")
 	}
 	// The forwarded budget must be less than the original (decremented by
 	// the hop) but still most of it.
-	if ms >= budget.Seconds()*1e3 || ms < budget.Seconds()*1e3/2 {
-		t.Fatalf("forwarded budget %vms not a decremented share of %v", ms, budget)
+	if env.Deadline >= budget || env.Deadline < budget/2 {
+		t.Fatalf("forwarded budget %v not a decremented share of %v", env.Deadline, budget)
 	}
 
 	// A budget that cannot survive the hop is shed at the front-end
-	// without a wire round trip.
+	// without sending a frame.
+	sent := stub.frames.Load()
 	tiny, cancel2 := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel2()
 	time.Sleep(2 * time.Millisecond) // ensure it is already unmeetable
@@ -79,6 +71,9 @@ func TestHTTPBackendPropagatesClassAndDeadline(t *testing.T) {
 	var shed *admit.ShedError
 	if !errors.As(err, &shed) && !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("hop-doomed Do = %v, want ShedError or DeadlineExceeded", err)
+	}
+	if n := stub.frames.Load(); n != sent {
+		t.Fatalf("hop-doomed call still sent %d frame(s)", n-sent)
 	}
 }
 
@@ -222,14 +217,12 @@ func TestRouterHandlerQoSFace(t *testing.T) {
 }
 
 // A remote replica's shed (503 + Retry-After) keeps its backoff hint
-// through the front-end: the statusError carries the header and the
-// handler re-emits it.
+// through the front-end: the error record carries it, the statusError
+// keeps it, and the handler re-emits the header.
 func TestRouterHandlerForwardsReplicaRetryAfter(t *testing.T) {
-	replica := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Retry-After", "7")
-		serve.WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"error": "shed"})
-	}))
-	defer replica.Close()
+	replica := newStreamStub(t, func(httpapi.StreamEnvelope, []httpapi.BatchEntry) ([]httpapi.BatchResult, *httpapi.StreamError) {
+		return nil, &httpapi.StreamError{Status: http.StatusServiceUnavailable, RetryAfter: 7 * time.Second, Msg: "shed"}
+	})
 	r, err := New([]Backend{NewHTTPBackend(replica.URL)}, Config{Retries: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -274,7 +267,7 @@ func TestEngineBackendAccessors(t *testing.T) {
 	}
 }
 
-// Pool.Workers and address normalization forms.
+// Address normalization forms.
 func TestHTTPBackendAddressForms(t *testing.T) {
 	for addr, want := range map[string]string{
 		":8022":                  "http://localhost:8022",

@@ -13,6 +13,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"sync"
@@ -169,29 +170,74 @@ func batchErrStatus(err error) int {
 		return http.StatusServiceUnavailable
 	case errors.Is(err, ErrUnknownExperiment):
 		return http.StatusNotFound
-	case errors.Is(err, ErrBadParams):
+	case errors.Is(err, ErrBadParams), errors.Is(err, httpapi.ErrBatchFrame), errors.Is(err, httpapi.ErrStreamFrame):
 		return http.StatusBadRequest
 	default:
 		return http.StatusInternalServerError
 	}
 }
 
-// handleBatch is POST /batch: decode the request frame, serve every
-// entry through ServeEncodedBatch, answer with the response frame. The
-// whole-request error paths (unreadable body, bad frame, bad QoS
-// headers) use the shared JSON envelope like every other endpoint;
-// per-entry failures ride inside the frame as outcome words so one bad
-// entry cannot fail its siblings.
-func (e *Engine) handleBatch(w http.ResponseWriter, r *http.Request) {
+// ServeFrame is the one serving path behind POST /batch — on a replica
+// and on the routing front-end — and the replica's frame stream: decode
+// an A21B request body, serve every entry through serveBatch under ctx,
+// and append the A21R response to dst, mapping per-entry failures to
+// outcome words with status. A body that fails to decode fails the
+// whole frame (an ErrBatchFrame error); otherwise one bad entry cannot
+// fail its siblings. With single set, a frame of exactly one entry
+// answers like /run instead: the entry's failure is returned as the
+// whole-frame error, so the stream can carry its status and Retry-After
+// hint.
+func ServeFrame(ctx context.Context, body, dst []byte, single bool,
+	serveBatch func(context.Context, []BatchItem) []BatchOutcome, status func(error) int) ([]byte, error) {
+	entries, err := httpapi.DecodeBatchRequest(body)
+	if err != nil {
+		return dst, err
+	}
+	results := make([]httpapi.BatchResult, len(entries))
+	items := make([]BatchItem, 0, len(entries))
+	served := make([]int, 0, len(entries)) // results index per items index
+	var firstErr error
+	for i, en := range entries {
+		p, perr := core.ParseParams(en.Params)
+		if perr != nil {
+			results[i] = httpapi.BatchResult{Status: http.StatusBadRequest, Msg: perr.Error()}
+			if firstErr == nil {
+				firstErr = fmt.Errorf("%w: %v", ErrBadParams, perr)
+			}
+			continue
+		}
+		items = append(items, BatchItem{ID: en.ID, Params: p, Class: en.Class})
+		served = append(served, i)
+	}
+	for j, o := range serveBatch(ctx, items) {
+		i := served[j]
+		if o.Err != nil {
+			results[i] = httpapi.BatchResult{Status: status(o.Err), Msg: o.Err.Error()}
+			if firstErr == nil {
+				firstErr = o.Err
+			}
+			continue
+		}
+		rr := o.RawResponse
+		results[i] = httpapi.BatchResult{OK: true, CacheHit: rr.CacheHit, Shared: rr.Shared,
+			Key: rr.Key, Payload: rr.Raw}
+	}
+	if single && len(entries) == 1 && firstErr != nil {
+		return dst, firstErr
+	}
+	return httpapi.AppendBatchResponse(dst, results), nil
+}
+
+// WriteFrame answers POST /batch: read the body, serve it through
+// ServeFrame under the request's QoS headers, and write the response
+// frame. The whole-request error paths (unreadable body, bad frame, bad
+// QoS headers) use the shared JSON envelope like every other endpoint.
+func WriteFrame(w http.ResponseWriter, r *http.Request,
+	serveBatch func(context.Context, []BatchItem) []BatchOutcome, status func(error) int) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, httpapi.MaxBatchBytes))
 	if err != nil {
 		httpapi.WriteError(w, http.StatusRequestEntityTooLarge, httpapi.CodePayloadTooLarge,
 			"batch body exceeds the cap or could not be read")
-		return
-	}
-	entries, err := httpapi.DecodeBatchRequest(body)
-	if err != nil {
-		httpapi.WriteError(w, http.StatusBadRequest, httpapi.CodeBadRequest, err.Error())
 		return
 	}
 	ctx, cancel, err := RequestContext(r)
@@ -200,32 +246,14 @@ func (e *Engine) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer cancel()
-	results := make([]httpapi.BatchResult, len(entries))
-	items := make([]BatchItem, 0, len(entries))
-	served := make([]int, 0, len(entries)) // results index per items index
-	for i, en := range entries {
-		p, perr := core.ParseParams(en.Params)
-		if perr != nil {
-			results[i] = httpapi.BatchResult{Status: http.StatusBadRequest, Msg: perr.Error()}
-			continue
-		}
-		items = append(items, BatchItem{ID: en.ID, Params: p, Class: en.Class})
-		served = append(served, i)
-	}
-	for j, o := range e.ServeEncodedBatch(ctx, items) {
-		i := served[j]
-		if o.Err != nil {
-			results[i] = httpapi.BatchResult{Status: batchErrStatus(o.Err), Msg: o.Err.Error()}
-			continue
-		}
-		rr := o.RawResponse
-		results[i] = httpapi.BatchResult{OK: true, CacheHit: rr.CacheHit, Shared: rr.Shared,
-			Key: rr.Key, Payload: rr.Raw}
-	}
 	buf := httpapi.GetBuffer()
-	frame := httpapi.AppendBatchResponse((*buf)[:0], results)
+	defer httpapi.PutBuffer(buf)
+	frame, err := ServeFrame(ctx, body, (*buf)[:0], false, serveBatch, status)
+	*buf = frame
+	if err != nil {
+		httpapi.WriteError(w, http.StatusBadRequest, httpapi.CodeBadRequest, err.Error())
+		return
+	}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	_, _ = w.Write(frame)
-	*buf = frame
-	httpapi.PutBuffer(buf)
 }

@@ -192,6 +192,9 @@ type Engine struct {
 	// supervisor's SetSLO here).
 	sloMu   sync.Mutex
 	sloHook func(slo time.Duration) error
+
+	// streams tracks the upgraded frame-stream connections (stream.go).
+	streams streamSet
 }
 
 // Response is one served result.
@@ -796,6 +799,9 @@ func (e *Engine) Reset() {
 	e.dropOrSaveSnapshot()
 }
 
-// Close shuts down the scheduler, draining queued work. Serve must not
-// be called after Close.
-func (e *Engine) Close() { e.sched.Close() }
+// Close drops every frame stream and shuts down the scheduler, draining
+// queued work. Serve must not be called after Close.
+func (e *Engine) Close() {
+	e.closeStreams()
+	e.sched.Close()
+}

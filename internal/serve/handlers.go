@@ -21,6 +21,8 @@ import (
 //	GET /v1/run/{id}?format=csv  table/figure as CSV
 //	POST /v1/batch               multi-get: varint-framed batch of requests in,
 //	                             varint-framed per-entry outcomes + payloads out
+//	GET /v1/stream               upgrade (Upgrade: a21-stream) to the persistent
+//	                             multiplexed frame stream the front-end routes over
 //	GET /v1/stats                engine metrics: counters, cache, per-class p50/p99
 //	GET /v1/metrics              Prometheus text exposition (promlint-clean)
 //	GET /v1/events?since=N       structured control-plane events after cursor N
@@ -219,7 +221,12 @@ func (e *Engine) Handler() http.Handler {
 	})
 	// POST /batch: the multi-get wire surface (varint frames in and out,
 	// per-entry outcome words, payloads served zero-copy from the slab).
-	httpapi.MountFunc(mux, "POST /batch", e.handleBatch)
+	httpapi.MountFunc(mux, "POST /batch", func(w http.ResponseWriter, r *http.Request) {
+		WriteFrame(w, r, e.ServeEncodedBatch, batchErrStatus)
+	})
+	// GET /v1/stream: the routing front-end's persistent frame stream
+	// (stream.go). Versioned only — it postdates the legacy paths.
+	mux.HandleFunc("GET "+httpapi.StreamPath, e.handleStream)
 	httpapi.MountFunc(mux, "GET /stats", func(w http.ResponseWriter, r *http.Request) {
 		// Memoized (StatsTTL): a dashboard poller must not pay — or make
 		// the serving path pay — a full reservoir walk per request.

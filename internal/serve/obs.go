@@ -117,6 +117,10 @@ func (e *Engine) buildRegistry() *obs.Registry {
 			}
 			return out
 		})
+	r.Counter("arch21_stream_frames_total", "Request frames served over front-end frame streams.",
+		func() float64 { return float64(e.streams.frames.Load()) })
+	r.Gauge("arch21_streams_open", "Open front-end frame streams.",
+		func() float64 { return float64(e.streams.Len()) })
 	r.Gauge("arch21_workers", "Scheduler concurrency bound.",
 		func() float64 { return float64(e.sched.Workers()) })
 	r.Gauge("arch21_workers_busy", "Workers currently running a task.",
