@@ -29,9 +29,14 @@ func Quantize(v float64, mantissaBits int) float64 {
 	b := math.Float64bits(v)
 	// Round to nearest: add half-ULP of the truncated grid before masking.
 	half := uint64(1) << (drop - 1)
-	b += half
-	b &^= (uint64(1) << drop) - 1
-	return math.Float64frombits(b)
+	mask := (uint64(1) << drop) - 1
+	q := math.Float64frombits((b + half) &^ mask)
+	if math.IsInf(q, 0) {
+		// Rounding up carried past the largest finite exponent: the
+		// nearest finite grid value is the truncated one.
+		return math.Float64frombits(b &^ mask)
+	}
+	return q
 }
 
 // MultEnergyRel returns the relative energy of a multiplier with the given

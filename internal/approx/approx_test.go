@@ -73,6 +73,18 @@ func TestQuickQuantize(t *testing.T) {
 	}
 }
 
+func TestQuantizeNearMaxFloatStaysFinite(t *testing.T) {
+	for _, v := range []float64{math.MaxFloat64, -math.MaxFloat64, 1.7955188657678554e+308} {
+		for bits := 1; bits < 52; bits++ {
+			q := Quantize(v, bits)
+			if math.IsInf(q, 0) || Quantize(q, bits) != q ||
+				RelError(v, q) > math.Pow(2, -float64(bits-1)) {
+				t.Fatalf("Quantize(%v, %d) = %v", v, bits, q)
+			}
+		}
+	}
+}
+
 func TestEnergyModels(t *testing.T) {
 	if MultEnergyRel(52) != 1 || AddEnergyRel(52) != 1 {
 		t.Fatal("full precision should be 1.0")

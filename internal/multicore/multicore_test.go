@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -223,9 +224,22 @@ func TestParallelSpeedupReal(t *testing.T) {
 	}
 	r := stats.NewRNG(11)
 	d := workload.Fork(64, stats.Constant{V: 2e5}, r)
-	s := MeasureSpeedup(d, 2, true, SpinWork)
-	if s < 1.25 {
-		t.Fatalf("2-worker speedup = %v, want >= 1.25", s)
+	// go test runs other packages' binaries on the same CPUs as this one
+	// (internal/core keeps one busy for most of the suite), and a 2-worker
+	// speedup only shows while both CPUs are free. Measure in rounds until
+	// the fastest-run estimate clears the bound or the time budget is
+	// spent. A runner that does not run tasks in parallel never clears
+	// it: no window makes its 2-worker runs faster than its serial ones.
+	const budget = time.Minute
+	start := time.Now()
+	for trials := 4; ; trials = min(2*trials, 64) {
+		s := MeasureSpeedup(d, 2, true, SpinWork, trials)
+		if s >= 1.25 {
+			return
+		}
+		if time.Since(start) > budget {
+			t.Fatalf("2-worker speedup = %v (fastest of %d interleaved runs each), want >= 1.25", s, trials)
+		}
 	}
 }
 

@@ -205,11 +205,21 @@ func SpinWork(work float64) {
 	spinSink.Add(x)
 }
 
-// MeasureSpeedup runs the DAG on 1 and on p workers and returns
-// T1/Tp. The grain must be CPU-bound for the ratio to be meaningful.
-func MeasureSpeedup(d *workload.DAG, p int, steal bool, grain func(float64)) float64 {
-	t1 := Runner{Workers: 1, Steal: steal}.Run(d, grain).Elapsed
-	tp := Runner{Workers: p, Steal: steal}.Run(d, grain).Elapsed
+// MeasureSpeedup runs the DAG trials times on 1 and on p workers,
+// alternating, and returns T1/Tp from each configuration's fastest run:
+// other processes on the same CPUs only ever add time, so the fastest
+// run is the estimate of a run's cost that interference disturbs least.
+// The grain must be CPU-bound for the ratio to be meaningful.
+func MeasureSpeedup(d *workload.DAG, p int, steal bool, grain func(float64), trials int) float64 {
+	var t1, tp time.Duration
+	for i := 0; i < trials; i++ {
+		if e := (Runner{Workers: 1, Steal: steal}).Run(d, grain).Elapsed; i == 0 || e < t1 {
+			t1 = e
+		}
+		if e := (Runner{Workers: p, Steal: steal}).Run(d, grain).Elapsed; i == 0 || e < tp {
+			tp = e
+		}
+	}
 	if tp <= 0 {
 		return 0
 	}

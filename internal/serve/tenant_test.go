@@ -8,7 +8,9 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -83,16 +85,31 @@ func TestTenantBooksCountSheds(t *testing.T) {
 	defer close(release)
 
 	ctx := admit.WithTenant(context.Background(), "alpha")
-	// Wedge the worker, then fill the queue, asynchronously.
-	for _, id := range []string{"W1", "W2"} {
-		id := id
-		go func() { _, _ = e.ServeWith(ctx, id, core.Params{}) }()
+	// Wedge the worker, then fill the queue, asynchronously. A filler
+	// that arrives while the first one still sits in the queue is shed
+	// itself, so add fillers until one runs and one waits: only then is
+	// the probe below sure to be refused rather than queued for good.
+	wedged := func() bool {
+		st := e.sched.Stats()
+		return st.Running == 1 && st.Classes[admit.Interactive.String()].Queued == 1
 	}
-	// Wait until both occupy the scheduler (one running, one queued).
-	deadline := time.Now().Add(2 * time.Second)
-	for e.Metrics().Tenants["alpha"].Requests < 2 && time.Now().Before(deadline) {
+	var live atomic.Int64 // fillers running, queued or still arriving
+	deadline := time.Now().Add(5 * time.Second)
+	for n := 0; !wedged(); n++ {
+		if time.Now().After(deadline) {
+			t.Fatal("never saw one filler running and one queued")
+		}
+		if live.Load() < 2 {
+			live.Add(1)
+			go func(id string) {
+				if _, err := e.ServeWith(ctx, id, core.Params{}); err != nil {
+					live.Add(-1)
+				}
+			}(fmt.Sprintf("W%d", n))
+		}
 		time.Sleep(time.Millisecond)
 	}
+	shedsBefore := e.Metrics().Tenants["alpha"].Sheds
 
 	var shed *admit.ShedError
 	sawShed := false
@@ -106,8 +123,8 @@ func TestTenantBooksCountSheds(t *testing.T) {
 	if !sawShed {
 		t.Fatal("never observed a shed with a wedged worker and a full queue")
 	}
-	if got := e.Metrics().Tenants["alpha"].Sheds; got < 1 {
-		t.Fatalf("alpha sheds = %d, want >= 1", got)
+	if got := e.Metrics().Tenants["alpha"].Sheds - shedsBefore; got < 1 {
+		t.Fatalf("alpha sheds from the probe = %d, want >= 1", got)
 	}
 }
 
