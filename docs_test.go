@@ -545,7 +545,8 @@ func TestBatchedDataPlaneDocs(t *testing.T) {
 		"httpapi.MaxBatchEntries", "httpapi.MaxBatchBytes",
 		"ErrBatchFrame", "httpapi.GetBuffer", "FuzzBatchFrame",
 		"`" + httpapi.StreamUpgrade + "`", "`GET " + httpapi.StreamPath + "`",
-		"httpapi.MaxStreamInFlight", "httpapi.MaxStreamFrame", "ErrStreamFrame",
+		"httpapi.MaxStreamInFlight", "httpapi.MaxStreamFrame", "httpapi.MaxStreamRequest",
+		"ErrStreamFrame", "ErrStreamTooLarge",
 		"FuzzStreamFrame", "Engine.ShutdownStreams", "arch21_stream_frames_total",
 	} {
 		if !strings.Contains(sec4, want) {

@@ -98,10 +98,20 @@ var bufPool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b 
 // nothing aliases it.
 func GetBuffer() *[]byte { return bufPool.Get().(*[]byte) }
 
+// maxPooledBuffer is the largest buffer PutBuffer keeps: one grown past
+// it by a rare outsized frame is left to the GC rather than pinned in
+// the pool for every later small frame.
+const maxPooledBuffer = 1 << 20
+
 // PutBuffer returns a GetBuffer buffer to the pool. Callers must be
 // sure no decoded view (BatchResult.Payload, BatchEntry fields) still
 // aliases it.
-func PutBuffer(buf *[]byte) { bufPool.Put(buf) }
+func PutBuffer(buf *[]byte) {
+	if cap(*buf) > maxPooledBuffer {
+		return
+	}
+	bufPool.Put(buf)
+}
 
 func appendUvarint(dst []byte, v uint64) []byte {
 	var tmp [binary.MaxVarintLen64]byte

@@ -48,10 +48,16 @@ const (
 	// waits for a free slot before sending, and a replica stops reading
 	// a peer that exceeds it until a slot frees.
 	MaxStreamInFlight = 256
-	// MaxStreamFrame bounds one frame's length word: a request body is
-	// further held to MaxBatchBytes, and a reply carries at most
-	// MaxBatchEntries results.
+	// MaxStreamFrame bounds one frame's length word. A replica never
+	// writes a longer reply: it answers that call with a 413 error
+	// record instead.
 	MaxStreamFrame = 64 << 20
+	// MaxStreamEnvelope bounds a request frame's QoS envelope: class and
+	// flags bytes, the length-prefixed tenant, the deadline varint.
+	MaxStreamEnvelope = 2 + binary.MaxVarintLen64 + admit.MaxTenantLen + binary.MaxVarintLen64
+	// MaxStreamRequest bounds a request frame's body: the envelope plus
+	// an A21B body held to MaxBatchBytes, the POST /v1/batch cap.
+	MaxStreamRequest = MaxStreamEnvelope + MaxBatchBytes
 	// StreamHeaderLen is the fixed frame header: length, call ID, type.
 	StreamHeaderLen = 4 + 8 + 1
 	// StreamWriteTimeout bounds one frame write at either end: a peer
@@ -101,6 +107,12 @@ func (t FrameType) String() string {
 
 // ErrStreamFrame marks a stream frame that failed to decode.
 var ErrStreamFrame = errors.New("httpapi: bad stream frame")
+
+// ErrStreamTooLarge marks a request frame over its caps: a body past
+// MaxStreamRequest (ReadStreamFrame skips it unbuffered and still
+// returns the call ID, so the stream stays in step) or an A21B body past
+// MaxBatchBytes. It fails only that call, with status 413.
+var ErrStreamTooLarge = errors.New("httpapi: stream request too large")
 
 // Envelope flag bits.
 const (
@@ -241,7 +253,13 @@ func AppendStreamError(dst []byte, id uint64, se StreamError) []byte {
 	start := len(dst)
 	dst = BeginStreamFrame(dst, id, FrameError)
 	dst = appendUvarint(dst, uint64(se.Status))
-	dst = appendUvarint(dst, uint64(se.RetryAfter/time.Millisecond))
+	// Whole milliseconds, rounded up: a positive hint never encodes as
+	// "none", so a sub-millisecond shed still yields Retry-After: 1.
+	ms := se.RetryAfter / time.Millisecond
+	if se.RetryAfter > ms*time.Millisecond {
+		ms++
+	}
+	dst = appendUvarint(dst, uint64(ms))
 	dst = appendUvarint(dst, uint64(len(se.Msg)))
 	dst = append(dst, se.Msg...)
 	return EndStreamFrame(dst, start)
@@ -256,7 +274,9 @@ func AppendStreamCancel(dst []byte, id uint64) []byte {
 // ReadStreamFrame reads one frame from r. The body is read into buf
 // (grown when its capacity is short) and aliases it; the returned slice
 // is buf's storage, to be reused for the next frame only once nothing
-// aliases the body.
+// aliases the body. A request body past MaxStreamRequest is read and
+// discarded, never buffered, and reported as ErrStreamTooLarge with the
+// frame's call ID and type.
 func ReadStreamFrame(r io.Reader, buf []byte) (id uint64, t FrameType, body []byte, err error) {
 	var hdr [StreamHeaderLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -276,6 +296,16 @@ func ReadStreamFrame(r io.Reader, buf []byte) (id uint64, t FrameType, body []by
 	if t == FrameCancel && n != 0 {
 		return 0, 0, nil, fmt.Errorf("%w: cancel frame with a %d-byte body", ErrStreamFrame, n)
 	}
+	id = binary.BigEndian.Uint64(hdr[4:])
+	if t == FrameRequest && n > MaxStreamRequest {
+		if _, err := io.CopyN(io.Discard, r, int64(n)); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return 0, 0, nil, err
+		}
+		return id, t, nil, fmt.Errorf("%w: %d-byte request frame body exceeds the %d cap", ErrStreamTooLarge, n, MaxStreamRequest)
+	}
 	if cap(buf) < n {
 		buf = make([]byte, n)
 	}
@@ -286,12 +316,13 @@ func ReadStreamFrame(r io.Reader, buf []byte) (id uint64, t FrameType, body []by
 		}
 		return 0, 0, nil, err
 	}
-	return binary.BigEndian.Uint64(hdr[4:]), t, body, nil
+	return id, t, body, nil
 }
 
 // DecodeStreamEnvelope parses a request body's QoS envelope and returns
 // the A21B bytes that follow it (aliasing body; DecodeBatchRequest
-// rejects any trailing bytes after the batch itself).
+// rejects any trailing bytes after the batch itself). A21B bytes past
+// MaxBatchBytes are ErrStreamTooLarge.
 func DecodeStreamEnvelope(body []byte) (StreamEnvelope, []byte, error) {
 	fr := &frameReader{buf: body, bad: ErrStreamFrame}
 	cb, err := fr.byte()
@@ -325,6 +356,9 @@ func DecodeStreamEnvelope(body []byte) (StreamEnvelope, []byte, error) {
 			return StreamEnvelope{}, nil, fmt.Errorf("%w: deadline %dµs outside 1..max", ErrStreamFrame, us)
 		}
 		env.Deadline = time.Duration(us) * time.Microsecond
+	}
+	if n := len(body) - fr.off; n > MaxBatchBytes {
+		return StreamEnvelope{}, nil, fmt.Errorf("%w: %d-byte batch body exceeds the %d cap", ErrStreamTooLarge, n, MaxBatchBytes)
 	}
 	return env, body[fr.off:], nil
 }

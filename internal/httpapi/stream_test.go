@@ -73,6 +73,71 @@ func TestStreamErrorAndCancelRoundTrip(t *testing.T) {
 	}
 }
 
+// A positive Retry-After hint never encodes as "none": sub-millisecond
+// hints round up to 1ms (Retry-After: 1 downstream), others to the next
+// whole millisecond.
+func TestStreamErrorRetryAfterRoundsUp(t *testing.T) {
+	for hint, want := range map[time.Duration]time.Duration{
+		0:                       0,
+		200 * time.Microsecond:  time.Millisecond,
+		1500 * time.Microsecond: 2 * time.Millisecond,
+		7 * time.Second:         7 * time.Second,
+	} {
+		_, _, body, err := readOne(AppendStreamError(nil, 1, StreamError{Status: 503, RetryAfter: hint}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if se, err := DecodeStreamError(body); err != nil || se.RetryAfter != want {
+			t.Errorf("hint %v decoded as %+v %v, want %v", hint, se, err, want)
+		}
+	}
+}
+
+// A request body past MaxStreamRequest is skipped without being
+// buffered: the reader reports ErrStreamTooLarge with the frame's call
+// ID and stays in step for the next frame. An A21B body past
+// MaxBatchBytes behind a small envelope is ErrStreamTooLarge too.
+func TestStreamRequestCaps(t *testing.T) {
+	n := MaxStreamRequest + 1
+	big := binary.BigEndian.AppendUint32(nil, uint32(StreamHeaderLen-4+n))
+	big = binary.BigEndian.AppendUint64(big, 9)
+	big = append(big, byte(FrameRequest))
+	big = append(big, make([]byte, n)...)
+	r := bytes.NewReader(AppendStreamCancel(big, 10))
+	id, typ, body, err := ReadStreamFrame(r, nil)
+	if !errors.Is(err, ErrStreamTooLarge) || id != 9 || typ != FrameRequest || body != nil {
+		t.Fatalf("oversized request: id %d %v %d-byte body, err %v; want call 9, ErrStreamTooLarge, no body", id, typ, len(body), err)
+	}
+	if id, typ, _, err := ReadStreamFrame(r, nil); err != nil || id != 10 || typ != FrameCancel {
+		t.Fatalf("frame after the skipped one: id %d %v %v", id, typ, err)
+	}
+	// Cut short while skipping: a truncated stream.
+	if _, _, _, err := ReadStreamFrame(bytes.NewReader(big[:len(big)-1]), nil); err != io.ErrUnexpectedEOF {
+		t.Fatalf("truncated oversized request: err = %v, want ErrUnexpectedEOF", err)
+	}
+
+	env := AppendStreamRequest(nil, 1, StreamEnvelope{}, nil)[StreamHeaderLen:]
+	envLen := len(env) - len(AppendBatchRequest(nil, nil))
+	body = append(env[:envLen:envLen], make([]byte, MaxBatchBytes+1)...)
+	if _, _, err := DecodeStreamEnvelope(body); !errors.Is(err, ErrStreamTooLarge) {
+		t.Fatalf("A21B body over MaxBatchBytes: err = %v, want ErrStreamTooLarge", err)
+	}
+	if _, _, err := DecodeStreamEnvelope(body[:len(body)-1]); err != nil {
+		t.Fatalf("A21B body at MaxBatchBytes: %v", err)
+	}
+}
+
+// A buffer grown past maxPooledBuffer is not kept for later frames.
+func TestPutBufferDropsOversizeBuffers(t *testing.T) {
+	big := make([]byte, 0, maxPooledBuffer+1)
+	PutBuffer(&big)
+	for i := 0; i < 4; i++ {
+		if buf := GetBuffer(); cap(*buf) > maxPooledBuffer {
+			t.Fatalf("GetBuffer returned a %d-byte buffer", cap(*buf))
+		}
+	}
+}
+
 // frameWith builds a raw frame with an arbitrary length word.
 func frameWith(length uint32, typ byte, body []byte) []byte {
 	b := binary.BigEndian.AppendUint32(nil, length)

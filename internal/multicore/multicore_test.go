@@ -224,23 +224,46 @@ func TestParallelSpeedupReal(t *testing.T) {
 	}
 	r := stats.NewRNG(11)
 	d := workload.Fork(64, stats.Constant{V: 2e5}, r)
-	// go test runs other packages' binaries on the same CPUs as this one
-	// (internal/core keeps one busy for most of the suite), and a 2-worker
-	// speedup only shows while both CPUs are free. Measure in rounds until
-	// the fastest-run estimate clears the bound or the time budget is
-	// spent. A runner that does not run tasks in parallel never clears
-	// it: no window makes its 2-worker runs faster than its serial ones.
-	const budget = time.Minute
-	start := time.Now()
-	for trials := 4; ; trials = min(2*trials, 64) {
-		s := MeasureSpeedup(d, 2, true, SpinWork, trials)
-		if s >= 1.25 {
-			return
+	// go test runs other packages' test binaries on the same CPUs as
+	// this one (internal/core keeps them busy for most of a full run), and
+	// no runner shows a 2-worker speedup while another process holds a
+	// CPU. So first wait, for at most a minute, until two bare goroutines
+	// get a clear parallel speedup on consecutive probes; the wait looks
+	// at the host only, never at the runner. Then measure the runner once,
+	// as the fastest of a fixed number of interleaved runs per
+	// configuration: the estimate interference disturbs least.
+	for quiet, until := 0, time.Now().Add(time.Minute); quiet < 3 && time.Now().Before(until); {
+		if hostSpeedup(2e6) >= 1.8 {
+			quiet++
+			continue
 		}
-		if time.Since(start) > budget {
-			t.Fatalf("2-worker speedup = %v (fastest of %d interleaved runs each), want >= 1.25", s, trials)
-		}
+		quiet = 0
+		time.Sleep(200 * time.Millisecond)
 	}
+	const trials = 32
+	if s := MeasureSpeedup(d, 2, true, SpinWork, trials); s < 1.25 {
+		t.Fatalf("2-worker speedup = %v (fastest of %d interleaved runs each), want >= 1.25", s, trials)
+	}
+}
+
+// hostSpeedup is how much faster two goroutines spin work each than one
+// goroutine spins 2*work: the speedup the host grants any 2-worker run
+// right now.
+func hostSpeedup(work float64) float64 {
+	t0 := time.Now()
+	SpinWork(2 * work)
+	serial := time.Since(t0)
+	t0 = time.Now()
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			SpinWork(work)
+		}()
+	}
+	wg.Wait()
+	return float64(serial) / float64(time.Since(t0))
 }
 
 func TestStealingBalancesSkewedWork(t *testing.T) {

@@ -153,44 +153,34 @@ func NewHTTPBackend(addr string) *HTTPBackend {
 // one.
 const hopBudget = 5 * time.Millisecond
 
-// Do implements Backend as a stream frame of one. The context's QoS
-// envelope rides in the frame — class, tenant, hedge marker, and the
-// remaining deadline decremented by hopBudget, shed here when it cannot
-// survive the hop — and the replica answers a frame of one like /run:
-// the memoized codec bytes (served zero-copy from its slab, decoded once
-// here at the edge, so a proxied result is the replica's full Result),
-// or an error record carrying the status and Retry-After hint.
+// Do implements Backend as a DoBatch of one, whose memoized codec
+// bytes (served zero-copy from the replica's slab) are decoded here at
+// the edge, so a proxied result is the replica's full Result. A failure
+// arrives as the frame's error record, keeping /run's status and
+// Retry-After hint.
 func (b *HTTPBackend) Do(ctx context.Context, id string, p core.Params) (serve.Response, error) {
-	t0 := time.Now()
 	class := admit.ClassFrom(ctx)
-	one := [1]httpapi.BatchEntry{{ID: id, Class: class, Params: p.Assignments()}}
-	raw, err := b.st.call(ctx, one[:])
+	outs, err := b.DoBatch(ctx, []serve.BatchItem{{ID: id, Params: p, Class: class}})
 	if err != nil {
 		return serve.Response{}, err
 	}
-	results, err := httpapi.DecodeBatchResponse(raw)
-	if err != nil || len(results) != 1 {
-		return serve.Response{}, fmt.Errorf("router: %s: bad reply to /run/%s (%d outcomes): %v",
-			b.base, id, len(results), err)
+	if outs[0].Err != nil {
+		return serve.Response{}, outs[0].Err
 	}
-	r := results[0]
-	if !r.OK {
-		return serve.Response{}, fmt.Errorf("router: %s /run/%s: %w", b.base, id,
-			&statusError{status: r.Status, msg: r.Msg})
-	}
-	res, err := core.DecodeResult(r.Payload)
+	o := outs[0].RawResponse
+	res, err := core.DecodeResult(o.Raw)
 	if err != nil {
 		return serve.Response{}, fmt.Errorf("router: %s: bad result payload: %v", b.base, err)
 	}
 	return serve.Response{
 		ID:       id,
 		Params:   resolvedParams(id, p),
-		Key:      r.Key,
+		Key:      o.Key,
 		Class:    class,
-		CacheHit: r.CacheHit,
-		Shared:   r.Shared,
+		CacheHit: o.CacheHit,
+		Shared:   o.Shared,
 		Result:   res,
-		Latency:  time.Since(t0),
+		Latency:  o.Latency,
 	}, nil
 }
 
@@ -216,9 +206,9 @@ func resolvedParams(id string, p core.Params) core.Params {
 // entry's payload aliases it for the rest of the outcomes' lifetime.
 // Entry-level errors surface as statusError values so the router's
 // verdict taxonomy (client error vs shed vs replica failure) applies per
-// entry exactly as it would to a single routed request; a frame of one
-// answered by an error record is that entry's outcome, not a failed
-// exchange.
+// entry exactly as it would to a single routed request. An error record
+// answers the whole frame, so it is every entry's outcome, not a failed
+// exchange: the replica was reached and gave its verdict.
 func (b *HTTPBackend) DoBatch(ctx context.Context, items []serve.BatchItem) ([]serve.BatchOutcome, error) {
 	t0 := time.Now()
 	entries := make([]httpapi.BatchEntry, len(items))
@@ -228,10 +218,14 @@ func (b *HTTPBackend) DoBatch(ctx context.Context, items []serve.BatchItem) ([]s
 	raw, err := b.st.call(ctx, entries)
 	if err != nil {
 		var se *statusError
-		if len(items) == 1 && errors.As(err, &se) {
-			return []serve.BatchOutcome{{Err: err}}, nil
+		if !errors.As(err, &se) {
+			return nil, err
 		}
-		return nil, err
+		out := make([]serve.BatchOutcome, len(items))
+		for i := range out {
+			out[i].Err = err
+		}
+		return out, nil
 	}
 	results, err := httpapi.DecodeBatchResponse(raw)
 	if err != nil {

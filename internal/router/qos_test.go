@@ -220,34 +220,37 @@ func TestRouterHandlerQoSFace(t *testing.T) {
 // through the front-end: the error record carries it, the statusError
 // keeps it, and the handler re-emits the header.
 func TestRouterHandlerForwardsReplicaRetryAfter(t *testing.T) {
-	replica := newStreamStub(t, func(httpapi.StreamEnvelope, []httpapi.BatchEntry) ([]httpapi.BatchResult, *httpapi.StreamError) {
-		return nil, &httpapi.StreamError{Status: http.StatusServiceUnavailable, RetryAfter: 7 * time.Second, Msg: "shed"}
-	})
-	r, err := New([]Backend{NewHTTPBackend(replica.URL)}, Config{Retries: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	front := httptest.NewServer(r.Handler())
-	defer front.Close()
-
-	resp, err := front.Client().Get(front.URL + "/run/E1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("front-end status = %d, want 503", resp.StatusCode)
-	}
-	if got := resp.Header.Get("Retry-After"); got != "7" {
-		t.Fatalf("Retry-After through front-end = %q, want 7", got)
-	}
-	// And the shedding replica was not marked failed into ejection-land
-	// by its deliberate 503s... it does fail over (one retry against the
-	// same single backend chain yields one attempt), but health failures
-	// stay zero.
-	for _, h := range r.Metrics().Health {
-		if h.Failures != 0 || h.Ejected {
-			t.Fatalf("replica 503 shed counted as failure: %+v", h)
+	// A sub-millisecond hint (an interactive queue-full shed with a
+	// short projected wait) still passes through as Retry-After: 1.
+	for hint, want := range map[time.Duration]string{7 * time.Second: "7", 200 * time.Microsecond: "1"} {
+		replica := newStreamStub(t, func(httpapi.StreamEnvelope, []httpapi.BatchEntry) ([]httpapi.BatchResult, *httpapi.StreamError) {
+			return nil, &httpapi.StreamError{Status: http.StatusServiceUnavailable, RetryAfter: hint, Msg: "shed"}
+		})
+		r, err := New([]Backend{NewHTTPBackend(replica.URL)}, Config{Retries: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		front := httptest.NewServer(r.Handler())
+		resp, err := front.Client().Get(front.URL + "/run/E1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		front.Close()
+		if resp.StatusCode != http.StatusServiceUnavailable {
+			t.Fatalf("front-end status = %d, want 503", resp.StatusCode)
+		}
+		if got := resp.Header.Get("Retry-After"); got != want {
+			t.Fatalf("Retry-After through front-end for a %v hint = %q, want %s", hint, got, want)
+		}
+		// And the shedding replica was not marked failed into
+		// ejection-land by its deliberate 503s... it does fail over (one
+		// retry against the same single backend chain yields one
+		// attempt), but health failures stay zero.
+		for _, h := range r.Metrics().Health {
+			if h.Failures != 0 || h.Ejected {
+				t.Fatalf("replica 503 shed counted as failure: %+v", h)
+			}
 		}
 	}
 }

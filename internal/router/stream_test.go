@@ -360,6 +360,42 @@ func TestStreamConcurrentCallsShareOneStream(t *testing.T) {
 	}
 }
 
+// An error record answering a whole multi-entry frame (here a 413, as a
+// replica sends for a reply past the frame cap) is every entry's
+// outcome: no transport error, no health failure, and the stream
+// carries the next call.
+func TestHTTPBackendErrorRecordAnswersEveryEntry(t *testing.T) {
+	replica := newStreamStub(t, func(_ httpapi.StreamEnvelope, entries []httpapi.BatchEntry) ([]httpapi.BatchResult, *httpapi.StreamError) {
+		if len(entries) > 1 {
+			return nil, &httpapi.StreamError{Status: http.StatusRequestEntityTooLarge, Msg: "reply too large"}
+		}
+		return []httpapi.BatchResult{{OK: true, Key: entries[0].ID, Payload: fakeResult(entries[0].ID).Encode()}}, nil
+	})
+	b := NewHTTPBackend(replica.URL)
+	r, err := New([]Backend{b}, Config{Retries: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	items := []serve.BatchItem{{ID: "E1"}, {ID: "E2"}, {ID: "E3"}}
+	outs := r.ServeEncodedBatch(context.Background(), items)
+	for i, o := range outs {
+		if !isHTTPStatus(o.Err, http.StatusRequestEntityTooLarge) {
+			t.Fatalf("entry %d outcome = %v, want the 413 error record", i, o.Err)
+		}
+	}
+	for _, h := range r.Metrics().Health {
+		if h.Failures != 0 || h.Ejected {
+			t.Fatalf("an error record counted as a replica failure: %+v", h)
+		}
+	}
+	if resp, err := b.Do(context.Background(), "E4", nil); err != nil || resp.Key != "E4" {
+		t.Fatalf("call after the error record: %+v %v", resp, err)
+	}
+	if n := replica.upgrades(); n != 1 {
+		t.Fatalf("replica accepted %d streams, want 1", n)
+	}
+}
+
 // streamStub is a replica double that speaks only the frame stream: it
 // upgrades GET /v1/stream, answers /healthz, and hands every request
 // frame to answer, replying with its results or its error record. It

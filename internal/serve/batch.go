@@ -170,6 +170,8 @@ func batchErrStatus(err error) int {
 		return http.StatusServiceUnavailable
 	case errors.Is(err, ErrUnknownExperiment):
 		return http.StatusNotFound
+	case errors.Is(err, httpapi.ErrStreamTooLarge):
+		return http.StatusRequestEntityTooLarge
 	case errors.Is(err, ErrBadParams), errors.Is(err, httpapi.ErrBatchFrame), errors.Is(err, httpapi.ErrStreamFrame):
 		return http.StatusBadRequest
 	default:

@@ -164,6 +164,12 @@ func (s *stream) serve(br *bufio.Reader) {
 	for {
 		buf := httpapi.GetBuffer()
 		id, t, body, err := httpapi.ReadStreamFrame(br, (*buf)[:0])
+		if errors.Is(err, httpapi.ErrStreamTooLarge) {
+			// Skipped unread: only this call fails, the stream goes on.
+			s.e.streams.frames.Add(1)
+			s.write(httpapi.AppendStreamError((*buf)[:0], id, streamError(err)), buf)
+			continue
+		}
 		if err != nil {
 			httpapi.PutBuffer(buf)
 			return
@@ -209,8 +215,8 @@ func (s *stream) serve(br *bufio.Reader) {
 }
 
 // call serves one request frame's batch and writes its answer: the A21R
-// reply, or an error frame for a malformed batch or a failed frame of
-// one.
+// reply, or an error frame for a malformed batch, a failed frame of one,
+// or a reply too long for one frame.
 func (s *stream) call(ctx context.Context, id uint64, in *[]byte, batch []byte) {
 	defer s.inflight.Done()
 	out := httpapi.GetBuffer()
@@ -220,7 +226,7 @@ func (s *stream) call(ctx context.Context, id uint64, in *[]byte, batch []byte) 
 	if err != nil {
 		frame = httpapi.AppendStreamError(frame[:0], id, streamError(err))
 	} else {
-		frame = httpapi.EndStreamFrame(frame, 0)
+		frame = sealReply(frame, id, httpapi.MaxStreamFrame)
 	}
 	s.mu.Lock()
 	cancel := s.calls[id]
@@ -229,6 +235,20 @@ func (s *stream) call(ctx context.Context, id uint64, in *[]byte, batch []byte) 
 	cancel()
 	s.write(frame, out)
 	<-s.slots
+}
+
+// sealReply patches the length word of the reply frame starting at
+// frame[0] — or, when that length would pass limit, which the peer must
+// treat as a protocol violation ending the stream, replaces the reply
+// with a 413 error record so the oversized answer fails only its call.
+func sealReply(frame []byte, id uint64, limit int) []byte {
+	if n := len(frame) - 4; n > limit {
+		return httpapi.AppendStreamError(frame[:0], id, httpapi.StreamError{
+			Status: http.StatusRequestEntityTooLarge,
+			Msg: fmt.Sprintf("a %d-byte reply exceeds the %d-byte stream frame cap; ask for fewer entries per batch",
+				n, limit)})
+	}
+	return httpapi.EndStreamFrame(frame, 0)
 }
 
 // write sends one frame under the write mutex and recycles its buffer.
@@ -247,12 +267,13 @@ func (s *stream) write(frame []byte, buf *[]byte) {
 }
 
 // streamError maps a whole-frame failure onto its error record: the
-// status /run would answer with, the message, and a shed's backoff hint.
+// status /run would answer with, the message, and a shed's backoff hint
+// — at least 1ms, as /run always sends a shed's Retry-After.
 func streamError(err error) httpapi.StreamError {
 	se := httpapi.StreamError{Status: batchErrStatus(err), Msg: err.Error()}
 	var shed *admit.ShedError
 	if errors.As(err, &shed) {
-		se.RetryAfter = shed.RetryAfter
+		se.RetryAfter = max(shed.RetryAfter, time.Millisecond)
 	}
 	return se
 }

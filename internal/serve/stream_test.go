@@ -2,7 +2,9 @@ package serve
 
 import (
 	"bufio"
+	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
 	"net"
 	"net/http"
@@ -141,6 +143,68 @@ func TestStreamServesFramesOverTheUpgrade(t *testing.T) {
 	}
 	if !strings.Contains(scrape(t, e.Handler()), "arch21_streams_open 0\n") {
 		t.Error("a drained stream still counts as open")
+	}
+}
+
+// Size caps fail one call, never the stream: a request frame past
+// httpapi.MaxStreamRequest is skipped unread and answered with a 413
+// error record, and the next call on the same stream is served.
+func TestStreamAnswersOversizeRequestWith413(t *testing.T) {
+	e := newTestEngine(func(id string) (core.Result, error) { return fakeResult(id), nil })
+	defer e.Close()
+	srv := httptest.NewServer(e.Handler())
+	defer srv.Close()
+	s := dialRawStream(t, srv.Listener.Addr().String())
+
+	n := httpapi.MaxStreamRequest + 1
+	big := binary.BigEndian.AppendUint32(nil, uint32(httpapi.StreamHeaderLen-4+n))
+	big = binary.BigEndian.AppendUint64(big, 1)
+	big = append(big, byte(httpapi.FrameRequest))
+	s.send(append(big, make([]byte, n)...))
+	id, typ, body := s.recv()
+	if se, err := httpapi.DecodeStreamError(body); id != 1 || typ != httpapi.FrameError || err != nil ||
+		se.Status != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized request: id %d %v %+v %v, want a 413 error record", id, typ, se, err)
+	}
+	s.send(httpapi.AppendStreamRequest(nil, 2, httpapi.StreamEnvelope{}, []httpapi.BatchEntry{{ID: "E1"}}))
+	if id, typ, _ := s.recv(); id != 2 || typ != httpapi.FrameReply {
+		t.Fatalf("call after an oversized one: id %d %v", id, typ)
+	}
+}
+
+// A reply past the frame cap the peer reads against becomes a 413 error
+// record for its call; one within it is sealed unchanged.
+func TestSealReplyCapsOversizeReply(t *testing.T) {
+	results := []httpapi.BatchResult{{OK: true, Key: "E1", Payload: make([]byte, 64)}}
+	reply := func() []byte {
+		return httpapi.AppendBatchResponse(httpapi.BeginStreamFrame(nil, 5, httpapi.FrameReply), results)
+	}
+	limit := len(reply()) - 4
+	id, typ, body, err := httpapi.ReadStreamFrame(bytes.NewReader(sealReply(reply(), 5, limit)), nil)
+	if got, derr := httpapi.DecodeBatchResponse(body); err != nil || id != 5 || typ != httpapi.FrameReply ||
+		derr != nil || len(got) != 1 || got[0].Key != "E1" {
+		t.Fatalf("reply at the cap: id %d %v %+v %v %v", id, typ, got, err, derr)
+	}
+	id, typ, body, err = httpapi.ReadStreamFrame(bytes.NewReader(sealReply(reply(), 5, limit-1)), nil)
+	if se, derr := httpapi.DecodeStreamError(body); err != nil || id != 5 || typ != httpapi.FrameError ||
+		derr != nil || se.Status != http.StatusRequestEntityTooLarge {
+		t.Fatalf("reply over the cap: id %d %v %+v %v %v, want a 413 error record", id, typ, se, err, derr)
+	}
+}
+
+// A shed always carries a Retry-After hint, as /run's does: a zero or
+// sub-millisecond hint still reaches the front-end as 1ms.
+func TestStreamErrorShedHint(t *testing.T) {
+	for _, hint := range []time.Duration{0, 200 * time.Microsecond} {
+		se := streamError(&admit.ShedError{Class: admit.Interactive, RetryAfter: hint})
+		_, _, body, err := httpapi.ReadStreamFrame(bytes.NewReader(httpapi.AppendStreamError(nil, 1, se)), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := httpapi.DecodeStreamError(body); err != nil || got.Status != http.StatusServiceUnavailable ||
+			got.RetryAfter != time.Millisecond {
+			t.Errorf("shed with a %v hint: %+v %v, want 503 with 1ms", hint, got, err)
+		}
 	}
 }
 
